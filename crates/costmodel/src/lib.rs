@@ -14,6 +14,8 @@
 //! * [`replica`] — end-to-end latency/throughput/memory model for one model
 //!   replica described by a [`ts_common::GroupSpec`], including tensor
 //!   parallel collectives, pipeline communication and KV-cache capacity;
+//! * [`steps`] — shared prefix tables of decode step times, from which the
+//!   simulator prices whole coalesced decode runs exactly;
 //! * [`price`] — dollars-per-request accounting (Figure 1);
 //! * [`batching`] — batching-effect curves (Figure 2).
 //!
@@ -39,10 +41,12 @@ pub mod calibration;
 pub mod price;
 pub mod replica;
 pub mod roofline;
+pub mod steps;
 
 pub use alphabeta::{allreduce_time, transfer_time, CommCost};
-pub use replica::{DecodeStepSeries, KvRouteLeg, KvRouteSegment, ReplicaCostModel};
-pub use roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHardware};
+pub use replica::{KvRouteLeg, KvRouteSegment, ReplicaCostModel};
+pub use roofline::{decode_step_time, prefill_time, StageHardware};
+pub use steps::{DecodeStepTables, StepTableId};
 
 use serde::{Deserialize, Serialize};
 use ts_common::SimDuration;

@@ -8,7 +8,7 @@
 //! pipeline stages.
 
 use crate::alphabeta::CommCost;
-use crate::roofline::{decode_step_time, prefill_time, DecodeStageSeries, StageHardware};
+use crate::roofline::{decode_step_time, prefill_time, StageHardware};
 use crate::ModelParams;
 use ts_cluster::{Cluster, GpuSpec};
 use ts_common::{Error, GpuId, GroupSpec, ModelSpec, Result, SimDuration};
@@ -69,48 +69,6 @@ struct StageModel {
     next_link: Option<CommCost>,
     /// Representative GPUs (used for KV routing).
     gpus: Vec<GpuId>,
-}
-
-/// A replica's decode-step latency as a function of mean context length, at
-/// a fixed batch size.
-///
-/// Built by [`ReplicaCostModel::decode_step_series`]; one per-stage
-/// [`DecodeStageSeries`] plus the (context-independent) inter-stage
-/// activation-transfer time. [`DecodeStepSeries::latency`] returns exactly
-/// what [`ReplicaCostModel::decode_step_latency`] would for the same
-/// `(batch, avg_context)` — the simulator's golden-metrics test pins this.
-#[derive(Debug, Clone)]
-pub struct DecodeStepSeries {
-    /// Per stage: hoisted roofline series and the link time to the next
-    /// stage (absent for the last stage).
-    stages: Vec<(DecodeStageSeries, Option<SimDuration>)>,
-}
-
-impl DecodeStepSeries {
-    /// The lone stage's series when the replica is one pipeline stage with
-    /// no inter-stage link — the common case — so hot pricing loops can
-    /// skip the per-call stage iteration. `single_stage().step_time(ctx)`
-    /// equals `latency(ctx)` exactly (the sum degenerates to one term).
-    #[inline]
-    pub fn single_stage(&self) -> Option<DecodeStageSeries> {
-        match self.stages.as_slice() {
-            [(stage, None)] => Some(*stage),
-            _ => None,
-        }
-    }
-
-    /// Decode-step latency at mean context `avg_context`.
-    #[inline]
-    pub fn latency(&self, avg_context: u64) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for (stage, link) in &self.stages {
-            total += stage.step_time(avg_context);
-            if let Some(t) = link {
-                total += *t;
-            }
-        }
-        total
-    }
 }
 
 /// Analytic latency/throughput/memory model for one model replica.
@@ -234,6 +192,21 @@ impl ReplicaCostModel {
         &self.model
     }
 
+    /// Whether `other` prices every decode step exactly as `self` does:
+    /// same model, parameters, and per-stage hardware, layer count and
+    /// next-stage link. Which GPUs a stage sits on only matters for KV
+    /// routing, so replicas of one shape on different GPUs compare equal.
+    pub fn same_decode_steps(&self, other: &Self) -> bool {
+        self.model == other.model
+            && self.params == other.params
+            && self.stages.len() == other.stages.len()
+            && self
+                .stages
+                .iter()
+                .zip(&other.stages)
+                .all(|(a, b)| a.hw == b.hw && a.layers == b.layers && a.next_link == b.next_link)
+    }
+
     /// Number of pipeline stages.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
@@ -286,32 +259,6 @@ impl ReplicaCostModel {
             }
         }
         total
-    }
-
-    /// Pre-folds the context-independent work of [`decode_step_latency`] at
-    /// a fixed batch size, for pricing many consecutive decode steps.
-    ///
-    /// [`DecodeStepSeries::latency`] is bit-identical to
-    /// `decode_step_latency(batch, avg_context)`; the coalescing planner in
-    /// the simulator builds one series per batch run and prices every
-    /// boundary through it.
-    pub fn decode_step_series(&self, batch: u64) -> DecodeStepSeries {
-        let act_bytes = self
-            .model
-            .dtype
-            .bytes_for(batch * self.model.hidden_size as u64);
-        DecodeStepSeries {
-            stages: self
-                .stages
-                .iter()
-                .map(|st| {
-                    (
-                        DecodeStageSeries::new(&self.model, st.layers, &st.hw, batch, &self.params),
-                        st.next_link.map(|link| link.time(act_bytes)),
-                    )
-                })
-                .collect(),
-        }
     }
 
     /// The slowest pipeline stage's prefill time — the reciprocal of the
@@ -581,30 +528,6 @@ mod tests {
         let rcm = ReplicaCostModel::new(&c, &m, &g, &ModelParams::default()).unwrap();
         assert!(rcm.kv_capacity_tokens() > 1000);
         assert!(rcm.prefill_latency(1024, 512) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn decode_step_series_is_bit_identical() {
-        let c = presets::paper_cloud_cluster();
-        let m = ModelSpec::llama_30b();
-        // TP=2 PP=2 exercises the all-reduce constant, a multi-stage sum and
-        // the inter-stage link term; TP=1 PP=1 exercises the plain roofline.
-        for g in [
-            group_on(&[16, 17, 18, 19], 2, 2, m.num_layers, Phase::Decode),
-            group_on(&[16, 17], 2, 1, m.num_layers, Phase::Decode),
-        ] {
-            let rcm = ReplicaCostModel::new(&c, &m, &g, &ModelParams::default()).unwrap();
-            for batch in [0u64, 1, 2, 7, 64, 640] {
-                let series = rcm.decode_step_series(batch);
-                for ctx in [0u64, 1, 255, 256, 257, 300, 511, 4096, 1 << 20] {
-                    assert_eq!(
-                        series.latency(ctx),
-                        rcm.decode_step_latency(batch, ctx),
-                        "series diverged at batch={batch} ctx={ctx}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -146,179 +146,6 @@ pub fn decode_step_time(
     exec + overhead + comm
 }
 
-/// [`decode_step_time`] with everything but `avg_context` hoisted.
-///
-/// Decode-step coalescing prices a whole batch run — up to hundreds of
-/// boundaries — in one planning pass, and only the mean context length
-/// changes between boundaries. This pre-folds the context-independent
-/// factors of `decode_step_time` (batch FLOPs, weight traffic, efficiency
-/// denominators, per-layer overhead and TP all-reduce time) so each boundary
-/// costs a handful of flops instead of re-deriving the full roofline.
-///
-/// Bit-identical contract: [`DecodeStageSeries::step_time`] performs the
-/// context-dependent arithmetic in exactly the operation order of
-/// `decode_step_time`, and every hoisted factor is the very expression the
-/// original computes (not an algebraic rearrangement), so the result is the
-/// same `f64`s to the last bit. The only regrouping is the final duration
-/// sum `exec + (overhead + comm)` vs `(exec + overhead) + comm`, which is
-/// exact because [`SimDuration`] addition is integer.
-#[derive(Debug, Clone, Copy)]
-pub struct DecodeStageSeries {
-    /// `batch == 0 || layers == 0`: the step is free, skip the math.
-    zero: bool,
-    matmul_flops: f64,
-    /// `4.0 * batch`, the first factor of the attention-FLOPs product.
-    four_batch: f64,
-    kv_dim: f64,
-    l: f64,
-    tp: f64,
-    /// `peak_fp16_flops * compute_eff`.
-    compute_denom: f64,
-    weight_bytes: f64,
-    batch_f: f64,
-    kv_per_token: f64,
-    /// `mem_bandwidth * mem_eff`.
-    mem_denom: f64,
-    /// Per-layer overhead plus TP all-reduce time (context-independent).
-    fixed: SimDuration,
-}
-
-impl DecodeStageSeries {
-    /// Hoists the context-independent factors of
-    /// [`decode_step_time`]`(model, layers, hw, batch, _, params)`.
-    pub fn new(
-        model: &ModelSpec,
-        layers: usize,
-        hw: &StageHardware,
-        batch: u64,
-        params: &ModelParams,
-    ) -> Self {
-        if batch == 0 || layers == 0 {
-            return DecodeStageSeries {
-                zero: true,
-                matmul_flops: 0.0,
-                four_batch: 0.0,
-                kv_dim: 0.0,
-                l: 0.0,
-                tp: 1.0,
-                compute_denom: 1.0,
-                weight_bytes: 0.0,
-                batch_f: 0.0,
-                kv_per_token: 0.0,
-                mem_denom: 1.0,
-                fixed: SimDuration::ZERO,
-            };
-        }
-        let tp = hw.tp as f64;
-        let l = layers as f64;
-        let msg = model
-            .dtype
-            .bytes_for((batch as usize * model.hidden_size) as u64);
-        DecodeStageSeries {
-            zero: false,
-            matmul_flops: layer_flops_per_token(model) * batch as f64 * l,
-            four_batch: 4.0 * batch as f64,
-            kv_dim: (model.num_kv_heads * model.head_dim()) as f64,
-            l,
-            tp,
-            compute_denom: hw.gpu.peak_fp16_flops * params.compute_eff,
-            weight_bytes: layer_weight_bytes(model) as f64 * l / tp,
-            batch_f: batch as f64,
-            kv_per_token: model.kv_bytes_per_token_layers(layers) as f64,
-            mem_denom: hw.gpu.mem_bandwidth * params.mem_eff,
-            fixed: params.per_layer_overhead * layers as u64
-                + allreduce_time(msg, hw.tp, hw.intra_alpha, hw.intra_bw) * (2 * layers) as u64,
-        }
-    }
-
-    /// Stage time of one decode step at mean context `avg_context`;
-    /// bit-identical to [`decode_step_time`] at the hoisted batch size.
-    ///
-    /// The `tp == 1` fast path skips the two tensor-parallel divisions:
-    /// IEEE-754 guarantees `x / 1.0 == x` bit-for-bit, and float division
-    /// is the most expensive operation in this kernel, so the common
-    /// single-GPU-stage case halves its division count with no output
-    /// change.
-    #[inline]
-    pub fn step_time(&self, avg_context: u64) -> SimDuration {
-        if self.zero {
-            return SimDuration::ZERO;
-        }
-        let ctx = avg_context as f64;
-        let attn_flops = self.four_batch * ctx * self.kv_dim * self.l;
-        let flops = self.matmul_flops + attn_flops;
-        let kv_scaled = self.batch_f * ctx * self.kv_per_token;
-        let (compute_s, kv_bytes) = if self.tp == 1.0 {
-            (flops / self.compute_denom, kv_scaled)
-        } else {
-            (flops / self.tp / self.compute_denom, kv_scaled / self.tp)
-        };
-        let mem_s = (self.weight_bytes + kv_bytes) / self.mem_denom;
-        SimDuration::from_secs_f64(compute_s.max(mem_s)) + self.fixed
-    }
-
-    /// Whether the memory roofline dominates the compute roofline at
-    /// **every** integer context in `[lo, hi]`, as the exact `f64` values
-    /// [`step_time`](Self::step_time) would compare.
-    ///
-    /// Sound because every arithmetic chain here is a composition of
-    /// nonnegative multiplies, adds and positive-divisor divides, and IEEE
-    /// round-to-nearest is monotone — so `compute_s(ctx)` and `mem_s(ctx)`
-    /// are both nondecreasing in `ctx` *as rounded `f64`s*, not just as
-    /// reals. Then `compute_s(hi) <= mem_s(lo)` pins
-    /// `compute_s(ctx) <= mem_s(ctx)` for the whole range and the `max`
-    /// inside `step_time` provably returns the memory side, which is what
-    /// lets [`step_time_mem`](Self::step_time_mem) skip the compute
-    /// division per boundary. A `false` return is never wrong, merely
-    /// unhelpful: callers fall back to pricing both sides.
-    pub fn mem_bound_over(&self, lo: u64, hi: u64) -> bool {
-        if self.zero {
-            return false;
-        }
-        let ctx = hi as f64;
-        let attn_flops = self.four_batch * ctx * self.kv_dim * self.l;
-        let flops = self.matmul_flops + attn_flops;
-        let compute_hi = if self.tp == 1.0 {
-            flops / self.compute_denom
-        } else {
-            flops / self.tp / self.compute_denom
-        };
-        let ctx = lo as f64;
-        let kv_scaled = self.batch_f * ctx * self.kv_per_token;
-        let kv_bytes = if self.tp == 1.0 {
-            kv_scaled
-        } else {
-            kv_scaled / self.tp
-        };
-        let mem_lo = (self.weight_bytes + kv_bytes) / self.mem_denom;
-        compute_hi <= mem_lo
-    }
-
-    /// [`step_time`](Self::step_time) restricted to the memory roofline:
-    /// one division per call instead of two (three with TP).
-    ///
-    /// Only valid when [`mem_bound_over`](Self::mem_bound_over) certified
-    /// the caller's context range — then the skipped
-    /// `compute_s.max(mem_s)` provably resolves to `mem_s` and the result
-    /// is bit-identical to `step_time`. Debug builds re-verify that
-    /// equality on every call.
-    #[inline]
-    pub fn step_time_mem(&self, avg_context: u64) -> SimDuration {
-        debug_assert!(!self.zero, "mem_bound_over never certifies a zero stage");
-        let ctx = avg_context as f64;
-        let kv_scaled = self.batch_f * ctx * self.kv_per_token;
-        let kv_bytes = if self.tp == 1.0 {
-            kv_scaled
-        } else {
-            kv_scaled / self.tp
-        };
-        let mem_s = (self.weight_bytes + kv_bytes) / self.mem_denom;
-        let t = SimDuration::from_secs_f64(mem_s) + self.fixed;
-        debug_assert_eq!(t, self.step_time(avg_context), "ctx {avg_context}");
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,53 +258,6 @@ mod tests {
         let t60 = decode_step_time(&m, 60, &h, 16, 512, &p);
         let ratio = t60.as_secs_f64() / t30.as_secs_f64();
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
-    }
-
-    #[test]
-    fn mem_bound_fast_path_is_bit_identical_and_engages() {
-        let p = params();
-        for m in [ModelSpec::llama_7b(), ModelSpec::llama_30b()] {
-            for gpu in [GpuModel::A5000, GpuModel::A40, GpuModel::A100] {
-                // TP=1 exercises the division-skipping branch, TP=2 the
-                // scaled one.
-                for tp in [1usize, 2] {
-                    let h = StageHardware {
-                        gpu: gpu.spec(),
-                        tp,
-                        intra_bw: if tp == 1 { f64::INFINITY } else { 64e9 },
-                        intra_alpha: if tp == 1 {
-                            SimDuration::ZERO
-                        } else {
-                            SimDuration::from_micros(8)
-                        },
-                    };
-                    for batch in [1u64, 2, 7, 8, 64, 640] {
-                        let s = DecodeStageSeries::new(&m, m.num_layers, &h, batch, &p);
-                        for (lo, hi) in [(0u64, 4), (256, 320), (256, 1280), (4096, 4096)] {
-                            if s.mem_bound_over(lo, hi) {
-                                for ctx in [lo, lo + (hi - lo) / 2, hi] {
-                                    assert_eq!(
-                                        s.step_time_mem(ctx),
-                                        s.step_time(ctx),
-                                        "batch={batch} ctx={ctx} tp={tp} on {gpu:?}"
-                                    );
-                                }
-                            }
-                        }
-                        // Thin decode batches are memory-bound on every GPU
-                        // here: the certification must actually engage, or
-                        // the fast path would silently never run.
-                        if batch <= 8 {
-                            assert!(s.mem_bound_over(256, 1280), "batch={batch} on {gpu:?}");
-                        }
-                    }
-                }
-            }
-        }
-        // Degenerate stages are never certified.
-        let m = ModelSpec::llama_7b();
-        let z = DecodeStageSeries::new(&m, 0, &hw(GpuModel::A5000), 4, &p);
-        assert!(!z.mem_bound_over(0, 1024));
     }
 
     #[test]

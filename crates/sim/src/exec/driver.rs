@@ -38,7 +38,7 @@
 //!   per step; intermediate step boundaries are materialized retroactively
 //!   (in bulk when telemetry is off) when an interrupt or the finish
 //!   boundary needs the batch state. The plan's *virtual push time*
-//!   (`prev_boundary`, and [`plan_vpush`] for the in-progress step)
+//!   (`prev_boundary`, and [`DecodePlan::vpush`] for the in-progress step)
 //!   reproduces the per-step schedule's `(at, seq, pushed_at)` ordering
 //!   against genuinely simultaneous rival events, so the coalesced loop
 //!   replays the exact same event interleaving the per-step loop would
@@ -65,7 +65,7 @@ use ts_common::{
     Result, SimDuration, SimTime, Slab, SlabKey,
 };
 use ts_costmodel::replica::{kv_route_legs, kv_transfer_time, KvRouteLeg, KvRouteSegment};
-use ts_costmodel::{DecodeStageSeries, DecodeStepSeries, ReplicaCostModel};
+use ts_costmodel::{DecodeStepTables, ReplicaCostModel};
 use ts_kvcache::codec::KvCodec;
 use ts_net::{FlowEstimate, FlowFabric, FlowPoll};
 use ts_telemetry::{
@@ -257,6 +257,9 @@ pub(crate) struct ModelRoute {
 pub(crate) struct SplitState {
     prefills: Vec<PrefillExecutor>,
     decodes: Vec<DecodeExecutor>,
+    /// Decode step-time prefix tables shared by every decode replica;
+    /// each [`DecodePlan`] reads its boundaries from one of them.
+    step_tables: DecodeStepTables,
     pair_coords: Vec<(usize, usize)>,
     /// KV route per (prefill, decode) pair.
     routes: Vec<Vec<Vec<KvRouteSegment>>>,
@@ -380,14 +383,19 @@ impl Driver {
                 sjf,
             ));
         }
+        // Replicas that price decode steps identically share one class of
+        // step tables (a homogeneous decode pool has exactly one).
+        let mut step_tables = DecodeStepTables::new();
         let mut decodes = Vec::with_capacity(decode_idx.len());
         for &gi in &decode_idx {
-            decodes.push(DecodeExecutor::new(ReplicaCostModel::new(
+            let cost = ReplicaCostModel::new(
                 cluster,
                 cfg.spec_for(plan.groups[gi].model),
                 &plan.groups[gi],
                 &cfg.params,
-            )?));
+            )?;
+            let class = step_tables.class_of(&cost);
+            decodes.push(DecodeExecutor::new(cost, class));
         }
         let prefill_model: Vec<ModelId> = prefill_idx
             .iter()
@@ -468,6 +476,7 @@ impl Driver {
             topo: Topology::Split(SplitState {
                 prefills,
                 decodes,
+                step_tables,
                 pair_coords,
                 kv_memo: vec![vec![None; routes.first().map_or(0, Vec::len)]; routes.len()],
                 routes,
@@ -625,6 +634,16 @@ impl Driver {
             }
             self.core.recovery.per_model = per.into_values().collect();
             self.core.model_losses.clear();
+        }
+        // The step tables are scratch of one run (the queue ran dry, so no
+        // plan reads them any more): a caller holding several simulations
+        // at once keeps only their pricing classes.
+        if let Topology::Split(s) = &mut self.topo {
+            debug_assert!(
+                s.decodes.iter().all(|d| d.plan.is_none()),
+                "plan outlived its run"
+            );
+            s.step_tables.clear_tables();
         }
         // The per-step loop popped (and advanced `now` past) decode events
         // made stale by a replica death; the coalesced loop cancels them
@@ -2418,139 +2437,11 @@ fn split_kick_decode(core: &mut Core, s: &mut SplitState, j: usize, admitted: bo
     split_plan_decode(core, s, j);
 }
 
-/// Picks the pricing source for a decode run on `d` at `batch` size: the
-/// memoized single-stage series when it matches (replicas revisit the
-/// same few batch sizes all trace long), a freshly built — and memoized —
-/// series when `hoist` says more than one boundary needs pricing, or
-/// neither, in which case the caller prices boundaries directly through
-/// `decode_step_latency`. All three sources produce bit-identical
-/// boundary times (`decode_step_series_is_bit_identical` pins this).
-fn decode_pricing(
-    d: &mut DecodeExecutor,
-    batch: u64,
-    hoist: bool,
-) -> (Option<DecodeStageSeries>, Option<DecodeStepSeries>) {
-    if let Some((b, stage)) = d.step_series_memo {
-        if b == batch {
-            return (Some(stage), None);
-        }
-    }
-    if !hoist {
-        return (None, None);
-    }
-    let built = d.cost.decode_step_series(batch);
-    match built.single_stage() {
-        Some(stage) => {
-            d.step_series_memo = Some((batch, stage));
-            (Some(stage), None)
-        }
-        None => (None, Some(built)),
-    }
-}
-
-/// Prices `count` consecutive decode boundaries starting from `at` with
-/// integer average context `ctx`, appending each boundary time to
-/// `steps`, and returns the final boundary. The pricing source and the
-/// straggler check are hoisted out of the loop so the common case — a
-/// single-stage replica at full speed — runs a tight monomorphic loop
-/// with no per-boundary branching. Every specialization performs the
-/// exact same float operations per boundary, so the times stay
-/// bit-identical across paths.
-#[allow(clippy::too_many_arguments)]
-fn price_boundaries(
-    steps: &mut VecDeque<SimTime>,
-    mut at: SimTime,
-    mut ctx: u64,
-    count: u64,
-    single: Option<DecodeStageSeries>,
-    series: Option<&DecodeStepSeries>,
-    cost: &ReplicaCostModel,
-    batch: u64,
-    slow: f64,
-) -> SimTime {
-    if let Some(stage) = single {
-        if slow == 1.0 {
-            // Unrolled 4-wide: the four step times are independent (only
-            // the running boundary `at` is serial, and that chain is
-            // integer adds), so the per-step float divisions pipeline
-            // instead of serializing. Each boundary's value is computed
-            // by exactly the same operations as the 1-wide loop.
-            //
-            // When the memory roofline provably dominates over the whole
-            // context range (the usual thin-batch decode regime —
-            // `mem_bound_over` is a monotonicity argument, see its doc),
-            // each boundary needs only the memory-side division; the
-            // compute side is certified once for the plan.
-            if count > 0 && stage.mem_bound_over(ctx, ctx + (count - 1)) {
-                let mut rem = count;
-                while rem >= 4 {
-                    let l0 = stage.step_time_mem(ctx);
-                    let l1 = stage.step_time_mem(ctx + 1);
-                    let l2 = stage.step_time_mem(ctx + 2);
-                    let l3 = stage.step_time_mem(ctx + 3);
-                    at += l0;
-                    steps.push_back(at);
-                    at += l1;
-                    steps.push_back(at);
-                    at += l2;
-                    steps.push_back(at);
-                    at += l3;
-                    steps.push_back(at);
-                    ctx += 4;
-                    rem -= 4;
-                }
-                for _ in 0..rem {
-                    at += stage.step_time_mem(ctx);
-                    steps.push_back(at);
-                    ctx += 1;
-                }
-                return at;
-            }
-            let mut rem = count;
-            while rem >= 4 {
-                let l0 = stage.step_time(ctx);
-                let l1 = stage.step_time(ctx + 1);
-                let l2 = stage.step_time(ctx + 2);
-                let l3 = stage.step_time(ctx + 3);
-                at += l0;
-                steps.push_back(at);
-                at += l1;
-                steps.push_back(at);
-                at += l2;
-                steps.push_back(at);
-                at += l3;
-                steps.push_back(at);
-                ctx += 4;
-                rem -= 4;
-            }
-            for _ in 0..rem {
-                at += stage.step_time(ctx);
-                steps.push_back(at);
-                ctx += 1;
-            }
-        } else {
-            for _ in 0..count {
-                at += stage.step_time(ctx).mul_f64(slow);
-                steps.push_back(at);
-                ctx += 1;
-            }
-        }
-        return at;
-    }
-    for _ in 0..count {
-        let mut latency = if let Some(series) = series {
-            series.latency(ctx)
-        } else {
-            cost.decode_step_latency(batch, ctx)
-        };
-        if slow != 1.0 {
-            latency = latency.mul_f64(slow);
-        }
-        at += latency;
-        steps.push_back(at);
-        ctx += 1;
-    }
-    at
+/// The fewest decode steps left among replica `d`'s active sequences:
+/// the run length to the first boundary where a sequence finishes.
+fn steps_to_first_finish(d: &DecodeExecutor) -> u64 {
+    let steps = d.batch.active.iter().map(|a| a.remaining).min();
+    u64::from(steps.unwrap_or(1).max(1))
 }
 
 /// Plans a decode run for replica `j` starting now and schedules its
@@ -2559,45 +2450,33 @@ fn price_boundaries(
 /// priced exactly as the per-step loop would: the integer average context
 /// grows by exactly 1 per step); the compatibility path plans one step.
 fn split_plan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &mut s.decodes[j];
+    let SplitState {
+        decodes,
+        step_tables,
+        ..
+    } = s;
+    let d = &mut decodes[j];
     debug_assert!(d.plan.is_none(), "planning over a live plan");
     let batch = d.batch.active.len() as u64;
-    let steps_to_finish = if coalescing_active(core) {
-        d.batch
-            .active
-            .iter()
-            .map(|a| a.remaining)
-            .min()
-            .unwrap_or(1)
-            .max(1)
+    let n = if coalescing_active(core) {
+        steps_to_first_finish(d)
     } else {
         1
     };
-    let slow = d.slow_factor;
-    let (single, series) = decode_pricing(d, batch, steps_to_finish > 1);
-    let mut steps = std::mem::take(&mut d.spare_steps);
-    steps.clear();
-    steps.reserve(steps_to_finish as usize);
-    let at = price_boundaries(
-        &mut steps,
-        core.now,
-        d.batch.avg_context(),
-        steps_to_finish as u64,
-        single,
-        series.as_ref(),
-        &d.cost,
-        batch,
-        slow,
-    );
+    let ctx = d.batch.avg_context();
+    let table = step_tables.table(d.step_class, batch, d.slow_factor, ctx + n);
     let token = core.queue.push_cancellable(
-        at,
+        core.now + step_tables.span(table, ctx, ctx + n),
         EventKind::DecodeStepDone {
             replica: j,
             epoch: d.epoch(),
         },
     );
     d.plan = Some(DecodePlan {
-        steps,
+        first: core.now + step_tables.step(table, ctx),
+        table,
+        ctx: ctx + 1,
+        remaining: n,
         prev_boundary: core.now,
         token,
     });
@@ -2612,43 +2491,23 @@ fn split_plan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
 /// batch and straggler factor. The scheduled event moves to the new final
 /// boundary, keeping its original `(seq, pushed_at)` stamps.
 fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
-    let d = &mut s.decodes[j];
-    let Some(mut old) = d.plan.take() else {
+    let SplitState {
+        decodes,
+        step_tables,
+        ..
+    } = s;
+    let d = &mut decodes[j];
+    let Some(old) = d.plan.take() else {
         return;
     };
-    let first = *old.steps.front().expect("plan with no boundaries");
-    debug_assert!(first >= core.now, "carried boundary in the past");
+    debug_assert!(old.first >= core.now, "carried boundary in the past");
     let batch = d.batch.active.len() as u64;
-    let steps_to_finish = d
-        .batch
-        .active
-        .iter()
-        .map(|a| a.remaining)
-        .min()
-        .unwrap_or(1)
-        .max(1);
-    let slow = d.slow_factor;
-    // The carried boundary is free; re-pricing starts at the second.
-    let (single, series) = decode_pricing(d, batch, steps_to_finish > 2);
-    // Reuse the old plan's buffer: its front IS the carried boundary, so
-    // truncating to one entry both keeps it and avoids a fresh allocation.
-    let mut steps = std::mem::take(&mut old.steps);
-    steps.truncate(1);
-    debug_assert_eq!(steps.front(), Some(&first));
-    steps.reserve(steps_to_finish as usize);
+    let n = steps_to_first_finish(d);
     // Context as of the carried boundary's end: the whole (new) batch
     // gains one token there.
-    let at = price_boundaries(
-        &mut steps,
-        first,
-        d.batch.avg_context() + 1,
-        (steps_to_finish - 1) as u64,
-        single,
-        series.as_ref(),
-        &d.cost,
-        batch,
-        slow,
-    );
+    let ctx = d.batch.avg_context() + 1;
+    let table = step_tables.table(d.step_class, batch, d.slow_factor, ctx + n - 1);
+    let at = old.first + step_tables.span(table, ctx, ctx + n - 1);
     let kind = EventKind::DecodeStepDone {
         replica: j,
         epoch: d.epoch(),
@@ -2667,7 +2526,10 @@ fn split_replan_decode(core: &mut Core, s: &mut SplitState, j: usize) {
         }
     };
     d.plan = Some(DecodePlan {
-        steps,
+        first: old.first,
+        table,
+        ctx,
+        remaining: n,
         prev_boundary: old.prev_boundary,
         token,
     });
@@ -2683,8 +2545,7 @@ fn split_cancel_decode_plan(core: &mut Core, s: &mut SplitState, j: usize) {
     let Some(plan) = s.decodes[j].plan.as_ref() else {
         return;
     };
-    let in_progress_end = *plan.steps.front().expect("plan with no boundaries");
-    core.phantom_horizon = core.phantom_horizon.max(in_progress_end);
+    core.phantom_horizon = core.phantom_horizon.max(plan.first);
     core.queue.cancel(plan.token);
     s.decodes[j].plan = None;
 }
@@ -2695,21 +2556,21 @@ fn split_cancel_decode_plan(core: &mut Core, s: &mut SplitState, j: usize) {
 /// per-step loop would have popped the step's own event first — smaller
 /// sequence number). The final boundary never catches up here; it is the
 /// scheduled event's fire time and is handled by
-/// [`Driver::on_decode_finish`].
+/// [`Driver::on_decode_finish`]. Boundary times never decrease, so the
+/// elapsed ones are found by binary search over the step table.
 fn split_catch_up_decode(core: &mut Core, s: &mut SplitState, j: usize) {
     let now = core.now;
     let Some(plan) = s.decodes[j].plan.as_ref() else {
         return;
     };
-    let mut m = 0usize;
-    while m + 1 < plan.steps.len() && plan.steps[m] < now {
-        m += 1;
-    }
-    if m + 1 < plan.steps.len() && plan.steps[m] == now {
+    let tables = &s.step_tables;
+    let elapsed = now.saturating_since(plan.first);
+    let mut m = tables.count_below(plan.table, plan.ctx, plan.remaining - 1, elapsed);
+    if m + 1 < plan.remaining && plan.boundary(tables, m) == now {
         let prev = if m == 0 {
             plan.prev_boundary
         } else {
-            plan.steps[m - 1]
+            plan.boundary(tables, m - 1)
         };
         if core.event_pushed_at > prev {
             m += 1;
@@ -2729,50 +2590,51 @@ fn split_catch_up_all_decodes(core: &mut Core, s: &mut SplitState) {
 }
 
 /// Materializes the front `m` boundaries of replica `j`'s plan. With
-/// telemetry off this is one arithmetic pass — batch membership is
-/// constant across a plan, so per sequence only the first gap differs and
-/// the remaining gaps share one maximum; with telemetry on each boundary
-/// replays individually to emit its retroactive trace events.
-fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: usize) {
+/// telemetry off this is O(batch) arithmetic — batch membership is
+/// constant across a plan, so per sequence only the first gap differs,
+/// and the remaining gaps are step times at rising contexts whose maximum
+/// is the last one (step times never decrease in context); with telemetry
+/// on each boundary replays individually to emit its retroactive trace
+/// events.
+fn split_materialize(core: &mut Core, s: &mut SplitState, j: usize, m: u64) {
     if !observing(core) {
-        let d = &mut s.decodes[j];
+        let SplitState {
+            decodes,
+            step_tables,
+            ..
+        } = s;
+        let d = &mut decodes[j];
         let plan = d.plan.as_mut().expect("materialize without plan");
-        debug_assert!(m < plan.steps.len(), "materializing the final boundary");
-        let first = plan.steps[0];
-        let mut shared_max = SimDuration::ZERO;
-        for i in 1..m {
-            shared_max = shared_max.max(plan.steps[i].saturating_since(plan.steps[i - 1]));
-        }
-        let last = plan.steps[m - 1];
-        let mk = m as u64;
+        let first = plan.first;
+        let shared_max = if m >= 2 {
+            step_tables.step(plan.table, plan.ctx + m - 2)
+        } else {
+            SimDuration::ZERO
+        };
+        let last = plan.consume(step_tables, m);
         let batch = d.batch.active.len() as u64;
         for a in &mut d.batch.active {
             debug_assert!(
-                u64::from(a.remaining) > mk,
+                u64::from(a.remaining) > m,
                 "an intermediate coalesced boundary must not finish a sequence"
             );
-            a.context += mk;
+            a.context += m;
             a.remaining -= m as u32;
             let first_gap = first.saturating_since(a.last_token_at);
             a.max_gap = a.max_gap.max(first_gap).max(shared_max);
             a.last_token_at = last;
         }
-        d.batch.kv_used += batch * mk;
-        for _ in 0..m {
-            let b = plan.steps.pop_front().expect("boundary count");
-            plan.prev_boundary = b;
-        }
+        d.batch.kv_used += batch * m;
     } else {
         for _ in 0..m {
             let b = {
-                let plan = s.decodes[j]
-                    .plan
-                    .as_mut()
-                    .expect("materialize without plan");
-                debug_assert!(plan.steps.len() > 1, "materializing the final boundary");
-                let b = plan.steps.pop_front().expect("boundary count");
-                plan.prev_boundary = b;
-                b
+                let SplitState {
+                    decodes,
+                    step_tables,
+                    ..
+                } = &mut *s;
+                let plan = decodes[j].plan.as_mut().expect("materialize without plan");
+                plan.consume(step_tables, 1)
             };
             split_materialize_boundary(core, s, j, b);
         }
@@ -2804,19 +2666,6 @@ fn split_materialize_boundary(core: &mut Core, s: &mut SplitState, j: usize, at:
             active: d.batch.active.len(),
         },
     );
-}
-
-/// The virtual push time of a plan's scheduled run-end event: the per-step
-/// loop would have pushed the final step's event when the previous step
-/// ended — the penultimate boundary, or the in-progress step's start for
-/// a single-step plan.
-fn plan_vpush(plan: &DecodePlan) -> SimTime {
-    let n = plan.steps.len();
-    if n >= 2 {
-        plan.steps[n - 2]
-    } else {
-        plan.prev_boundary
-    }
 }
 
 /// Discards a held (deferred) decode-finish stamp for replica `j`.
@@ -2855,14 +2704,14 @@ impl Driver {
                     drop_held_decode(&mut self.core, replica, seq);
                     return Ok(());
                 }
-                plan_vpush(plan)
+                plan.vpush(&s.step_tables)
             };
             if ev.pushed_at == vpush {
                 // The stamps are real (a per-step-schedule push): the heap
                 // already ordered this event correctly.
                 break;
             }
-            let Some(rival) = self.qualifying_rival(replica, vpush) else {
+            let Some(rival) = self.qualifying_rival(vpush) else {
                 break;
             };
             if !self
@@ -2888,22 +2737,13 @@ impl Driver {
         let Topology::Split(s) = topo else {
             unreachable!()
         };
-        let pending = s.decodes[replica]
-            .plan
-            .as_ref()
-            .map_or(0, |p| p.steps.len());
+        let pending = s.decodes[replica].plan.as_ref().map_or(0, |p| p.remaining);
         if pending > 1 {
             split_materialize(core, s, replica, pending - 1);
         }
         let plan = s.decodes[replica].plan.take().expect("checked above");
-        debug_assert_eq!(plan.steps.len(), 1, "intermediates drained");
-        debug_assert_eq!(
-            plan.steps.front(),
-            Some(&core.now),
-            "finish boundary mismatch"
-        );
-        // Recycle the retired plan's buffer for the next planning pass.
-        s.decodes[replica].spare_steps = plan.steps;
+        debug_assert_eq!(plan.remaining, 1, "intermediates drained");
+        debug_assert_eq!(plan.first, core.now, "finish boundary mismatch");
         if core.cfg.straggler_threshold.is_some() {
             split_observe_straggler(core, s, false, replica);
         }
@@ -2930,7 +2770,7 @@ impl Driver {
     /// virtual push time of another replica's live plan) is no later than
     /// `vpush`. Deferring to an epoch-stale rival is harmless — its
     /// dispatch is a no-op.
-    fn qualifying_rival(&mut self, replica: usize, vpush: SimTime) -> Option<Event> {
+    fn qualifying_rival(&mut self, vpush: SimTime) -> Option<Event> {
         let now = self.core.now;
         debug_assert!(
             self.core
@@ -2939,7 +2779,6 @@ impl Driver {
                 .is_none_or(|r| r.arrival > now),
             "same-instant arrivals drain before queued events"
         );
-        let _ = replica;
         let head = *self.core.queue.peek()?;
         if head.at != now {
             return None;
@@ -2950,7 +2789,7 @@ impl Driver {
                     return None;
                 };
                 match s.decodes[r2].plan.as_ref() {
-                    Some(p) if head.token() == Some(p.token) => plan_vpush(p),
+                    Some(p) if head.token() == Some(p.token) => p.vpush(&s.step_tables),
                     _ => head.pushed_at,
                 }
             }

@@ -16,7 +16,7 @@ use super::seq::{BatchCore, PrefillJob, PrefillQueue, ResumeState};
 use crate::event::EventToken;
 use std::collections::VecDeque;
 use ts_common::{SimDuration, SimTime, SlabKey};
-use ts_costmodel::{DecodeStageSeries, ReplicaCostModel};
+use ts_costmodel::{DecodeStepTables, ReplicaCostModel, StepTableId};
 
 /// Scheduling policy of a colocated replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,12 +89,25 @@ impl DrainedWork {
 /// boundaries are materialized lazily — retroactively, in batches — when an
 /// interrupt or the finish boundary needs the batch state. Under the
 /// per-step compatibility path a plan holds exactly one step.
+///
+/// The plan is constant-size: boundaries are read from a shared
+/// [`DecodeStepTables`] prefix table, not stored. Boundary `k` (0 = the
+/// in-progress step's end) is `first + span(ctx, ctx + k)`; consuming
+/// boundaries advances `first` and `ctx` together.
 #[derive(Debug)]
 pub struct DecodePlan {
-    /// Step-end boundaries, ascending. Already-materialized boundaries are
-    /// popped from the front; the last entry is the scheduled event's fire
-    /// time and the first boundary at which a sequence can finish.
-    pub steps: VecDeque<SimTime>,
+    /// End of the in-progress step: the next boundary to materialize.
+    /// A re-plan carries it verbatim (its latency was committed when the
+    /// step began).
+    pub first: SimTime,
+    /// Step-time table the boundaries after `first` are priced from.
+    pub table: StepTableId,
+    /// Mean context of the step that starts at `first`.
+    pub ctx: u64,
+    /// Boundaries left, `first` included; the last one is the scheduled
+    /// event's fire time and the first boundary at which a sequence can
+    /// finish.
+    pub remaining: u64,
     /// The virtual push time of the in-progress (front) step: the sim time
     /// at which the per-step scheduler would have pushed that step's event
     /// (the previous boundary, or the plan's creation time). Used to order
@@ -103,6 +116,38 @@ pub struct DecodePlan {
     pub prev_boundary: SimTime,
     /// Cancellation token of the scheduled run-end event.
     pub token: EventToken,
+}
+
+impl DecodePlan {
+    /// Boundary `k` of the run (0 = `first`).
+    #[inline]
+    pub fn boundary(&self, tables: &DecodeStepTables, k: u64) -> SimTime {
+        self.first + tables.span(self.table, self.ctx, self.ctx + k)
+    }
+
+    /// The virtual push time of the scheduled run-end event: the per-step
+    /// loop would have pushed the final step's event when the previous
+    /// step ended — the penultimate boundary, or the in-progress step's
+    /// start for a single-step plan.
+    pub fn vpush(&self, tables: &DecodeStepTables) -> SimTime {
+        if self.remaining >= 2 {
+            self.boundary(tables, self.remaining - 2)
+        } else {
+            self.prev_boundary
+        }
+    }
+
+    /// Pops the front `m` boundaries (never the final one) and returns the
+    /// last boundary popped.
+    pub fn consume(&mut self, tables: &DecodeStepTables, m: u64) -> SimTime {
+        debug_assert!(m >= 1 && m < self.remaining, "consuming the final boundary");
+        let last = self.boundary(tables, m - 1);
+        self.first = self.boundary(tables, m);
+        self.ctx += m;
+        self.remaining -= m;
+        self.prev_boundary = last;
+        last
+    }
 }
 
 /// The liveness/epoch/drain contract every replica executor implements;
@@ -244,34 +289,26 @@ pub struct DecodeExecutor {
     /// through [`ReplicaExecutor::kill`] / [`ReplicaExecutor::revive`].
     pub plan: Option<DecodePlan>,
     /// Gray-failure straggler factor: decode step times multiply by this
-    /// (exactly 1.0 = healthy; the driver skips the multiply then so the
-    /// healthy path stays bit-identical).
+    /// (exactly 1.0 = healthy; the step tables skip the multiply then so
+    /// the healthy path stays bit-identical).
     pub slow_factor: f64,
-    /// Retired plan step buffer, recycled by the planner so the hot loop
-    /// (roughly one plan per served request) does not allocate per plan.
-    pub spare_steps: VecDeque<SimTime>,
-    /// One-entry memo of `batch size -> ` the hoisted single-stage step
-    /// series at that size. Replicas see a handful of distinct batch
-    /// sizes over a whole day trace, and the series is a pure function
-    /// of the immutable cost model and the batch size, so replaying the
-    /// cached copy is exact. `None` until the first single-stage plan
-    /// (multi-stage pipelines never populate it).
-    pub step_series_memo: Option<(u64, DecodeStageSeries)>,
+    /// The replica's pricing class in the shared [`DecodeStepTables`].
+    pub step_class: usize,
     alive: bool,
     epoch: u64,
 }
 
 impl DecodeExecutor {
-    /// A fresh, live executor over `cost` with its KV capacity.
-    pub fn new(cost: ReplicaCostModel) -> Self {
+    /// A fresh, live executor over `cost` with its KV capacity, pricing
+    /// decode steps from `step_class` of the shared step tables.
+    pub fn new(cost: ReplicaCostModel, step_class: usize) -> Self {
         let kv_capacity = cost.kv_capacity_tokens();
         DecodeExecutor {
             cost,
             batch: BatchCore::new(kv_capacity),
             plan: None,
             slow_factor: 1.0,
-            spare_steps: VecDeque::new(),
-            step_series_memo: None,
+            step_class,
             alive: true,
             epoch: 0,
         }

@@ -19,13 +19,25 @@ pub struct StrideRouter {
     weights: Vec<f64>,
     credit: Vec<f64>,
     enabled: Vec<bool>,
+    /// `enabled[i] && weights[i] > 0.0`: the options `next` can pick.
+    eligible: Vec<bool>,
+    /// Number of `true` entries in `eligible`, kept by `set_enabled` so
+    /// the per-arrival [`Self::num_enabled`] check is O(1).
+    num_eligible: usize,
     total: f64,
-    /// `weights[i] / total`, refreshed whenever `total` changes: `next`
-    /// runs once per routed request over every enabled option, and float
-    /// division is expensive enough to show up there. Precomputing the
-    /// exact same quotient keeps the credit arithmetic bit-identical.
+    /// `weights[i] / total` for enabled options and exactly `0.0` for
+    /// disabled ones, refreshed whenever `total` changes. `next` tops up
+    /// every credit with it unconditionally: a disabled option's credit
+    /// stays at the `0.0` `set_enabled` wrote, exactly as if skipped, and
+    /// the precomputed quotient keeps the credit arithmetic bit-identical
+    /// to dividing per call.
     stride: Vec<f64>,
 }
+
+/// Independent arg-max accumulators in [`StrideRouter::next`]: the
+/// per-option compare-and-select chains no longer serialize on one
+/// running maximum.
+const LANES: usize = 4;
 
 impl StrideRouter {
     /// Creates a router over the given non-negative weights (they need not
@@ -49,7 +61,10 @@ impl StrideRouter {
         }
         let n = weights.len();
         let stride = weights.iter().map(|w| w / total).collect();
+        let eligible: Vec<bool> = weights.iter().map(|&w| w > 0.0).collect();
         Ok(StrideRouter {
+            num_eligible: eligible.iter().filter(|&&e| e).count(),
+            eligible,
             weights,
             credit: vec![0.0; n],
             enabled: vec![true; n],
@@ -87,9 +102,54 @@ impl StrideRouter {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> usize {
         assert!(self.total > 0.0, "all routing options are disabled");
-        // One fused pass: top up every enabled option's credit and track the
-        // arg-max as we go. `>=` keeps the *last* maximum, matching the
-        // two-pass `max_by(partial_cmp)` tie-breaking this replaced.
+        // Pass 1: top up every credit (disabled options have stride 0.0).
+        for (c, s) in self.credit.iter_mut().zip(&self.stride) {
+            *c += s;
+        }
+        // Pass 2: the *last* maximum over eligible credits, which is the
+        // tie-breaking of the fused `>=` scan this replaced. Each lane keeps
+        // its own last maximum; ineligible options compete as -inf, which
+        // every (finite) eligible credit beats.
+        let mut lanes = [(f64::NEG_INFINITY, 0usize); LANES];
+        let visit = |lane: &mut (f64, usize), i: usize, c: f64, ok: bool| {
+            let key = if ok { c } else { f64::NEG_INFINITY };
+            if key >= lane.0 {
+                *lane = (key, i);
+            }
+        };
+        let credit = self.credit.chunks_exact(LANES);
+        let eligible = self.eligible.chunks_exact(LANES);
+        let tail = credit.remainder().iter().zip(eligible.remainder());
+        for (k, (cs, es)) in credit.zip(eligible).enumerate() {
+            for l in 0..LANES {
+                visit(&mut lanes[l], k * LANES + l, cs[l], es[l]);
+            }
+        }
+        let base = self.credit.len() / LANES * LANES;
+        for (l, (&c, &ok)) in tail.enumerate() {
+            visit(&mut lanes[l], base + l, c, ok);
+        }
+        // Merge: the larger credit wins, the higher index on a tie.
+        let (_, best) = lanes
+            .into_iter()
+            .reduce(|a, b| {
+                if b.0 > a.0 || (b.0 == a.0 && b.1 > a.1) {
+                    b
+                } else {
+                    a
+                }
+            })
+            .expect("LANES > 0");
+        debug_assert!(self.eligible[best], "router picked an ineligible option");
+        self.credit[best] -= 1.0;
+        best
+    }
+
+    /// The fused single-pass scan [`Self::next`] replaced, kept as the
+    /// reference its picks are tested against.
+    #[cfg(test)]
+    fn next_reference(&mut self) -> usize {
+        assert!(self.total > 0.0, "all routing options are disabled");
         let mut best = None;
         let mut best_credit = f64::NEG_INFINITY;
         for i in 0..self.credit.len() {
@@ -114,6 +174,15 @@ impl StrideRouter {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn set_enabled(&mut self, i: usize, enabled: bool) {
+        let eligible = enabled && self.weights[i] > 0.0;
+        if eligible != self.eligible[i] {
+            self.eligible[i] = eligible;
+            if eligible {
+                self.num_eligible += 1;
+            } else {
+                self.num_eligible -= 1;
+            }
+        }
         self.enabled[i] = enabled;
         self.credit[i] = 0.0;
         self.total = self
@@ -123,8 +192,8 @@ impl StrideRouter {
             .filter(|(_, &e)| e)
             .map(|(w, _)| w)
             .sum();
-        for (s, w) in self.stride.iter_mut().zip(&self.weights) {
-            *s = w / self.total;
+        for ((s, w), &e) in self.stride.iter_mut().zip(&self.weights).zip(&self.enabled) {
+            *s = if e { w / self.total } else { 0.0 };
         }
     }
 
@@ -153,11 +222,7 @@ impl StrideRouter {
     /// Number of enabled options with positive weight (choices `next` can
     /// actually make).
     pub fn num_enabled(&self) -> usize {
-        self.enabled
-            .iter()
-            .zip(&self.weights)
-            .filter(|(&e, &w)| e && w > 0.0)
-            .count()
+        self.num_eligible
     }
 
     /// Number of options.
@@ -278,6 +343,69 @@ mod tests {
         r.set_enabled(0, false);
         assert_eq!(r.num_enabled(), 0);
         let _ = r.next();
+    }
+
+    /// Drives `next` and `next_reference` on twin routers through the same
+    /// mask flips and asserts identical picks, credits and counts.
+    fn assert_matches_reference(weights: Vec<f64>, seed: u64, calls: usize) {
+        use rand::Rng;
+        let mut rng = ts_common::seeded_rng(seed);
+        let mut fast = StrideRouter::new(weights).unwrap();
+        let mut slow = fast.clone();
+        let n = fast.len();
+        for call in 0..calls {
+            if rng.gen_bool(0.05) {
+                let i = rng.gen_range(0..n);
+                let on = !fast.is_enabled(i);
+                // Never disable the last eligible option (next would panic).
+                if on || fast.num_enabled() > 1 || fast.weights[i] == 0.0 {
+                    fast.set_enabled(i, on);
+                    slow.set_enabled(i, on);
+                }
+            }
+            let expect_count = (0..n)
+                .filter(|&i| slow.enabled[i] && slow.weights[i] > 0.0)
+                .count();
+            assert_eq!(fast.num_enabled(), expect_count, "seed {seed} call {call}");
+            assert_eq!(
+                fast.next(),
+                slow.next_reference(),
+                "seed {seed} call {call}"
+            );
+            let bits = |r: &StrideRouter| r.credit.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "seed {seed} call {call}");
+        }
+    }
+
+    #[test]
+    fn next_matches_reference_scan() {
+        use rand::Rng;
+        for seed in 0..24u64 {
+            let mut rng = ts_common::seeded_rng(seed);
+            // Odd sizes exercise the lane remainder; some zero weights.
+            let n = rng.gen_range(1..=37);
+            let weights: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.01..5.0)
+                    }
+                })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                continue;
+            }
+            assert_matches_reference(weights, seed, 2_000);
+        }
+    }
+
+    #[test]
+    fn next_matches_reference_on_all_equal_weights() {
+        // Equal weights tie on every call: the highest-indexed maximum wins.
+        for n in [1usize, 3, 4, 5, 8, 64, 513] {
+            assert_matches_reference(vec![1.0; n], n as u64, 3 * n + 50);
+        }
     }
 
     #[test]

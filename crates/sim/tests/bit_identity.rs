@@ -597,3 +597,46 @@ fn streaming_with_coalescing_off_matches_the_same_golden() {
         "streaming over the per-step path perturbed simulation outputs"
     );
 }
+
+/// A fault landing exactly on a decode step boundary. The fault event was
+/// queued at setup, before that step began, so the per-step loop
+/// dispatches it ahead of the step's own event: the boundary has *not*
+/// elapsed yet, and a straggler factor already prices the step after it.
+/// The coalesced catch-up (strictly-before search plus the push-time rule
+/// for a boundary at `now`) must agree, on intermediate and run-end
+/// boundaries alike; the per-step compatibility path is the reference.
+#[test]
+fn faults_on_exact_decode_boundaries_match_the_per_step_loop() {
+    let eight = split_plan_8();
+    let reqs = mixed_requests(80, 30_000, 9);
+    let cfg = || SimConfig::new(ModelSpec::llama_7b());
+    let (_, log) = run_split(
+        &eight,
+        cfg().with_telemetry(true),
+        &reqs,
+        &FaultScript::none(),
+    );
+    let boundaries: Vec<SimTime> = log
+        .expect("telemetry on")
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            ts_telemetry::TraceKind::DecodeStep { replica: 1, .. } => Some(e.at),
+            _ => None,
+        })
+        .collect();
+    assert!(boundaries.len() > 100, "replica 1 decodes long runs");
+    for &at in boundaries.iter().step_by(boundaries.len() / 12) {
+        for kind in [FaultKind::DecodeSlow(1, 3.0), FaultKind::DecodeDown(1)] {
+            let script =
+                FaultScript::new(vec![TimedFault { at, kind }], SimDuration::from_millis(50));
+            let (coalesced, _) = run_split(&eight, cfg(), &reqs, &script);
+            let (per_step, _) =
+                run_split(&eight, cfg().with_decode_coalescing(false), &reqs, &script);
+            assert!(
+                coalesced == per_step,
+                "{kind:?} at boundary {at:?}: coalesced run diverged from the per-step loop"
+            );
+        }
+    }
+}
